@@ -49,12 +49,6 @@ type Config struct {
 	// Bcast selects the inter-rank broadcast topology. Nil means
 	// comm.Binomial{}, the historical arithmetic.
 	Bcast comm.Topology
-	// EngineWorkers selects the engine's execution mode: 0 runs the classic
-	// serial event loop, a positive value runs the conservative parallel DES
-	// engine with at most that many rank loops executing concurrently, and
-	// -1 means GOMAXPROCS. Statistics, schedule digests and the numeric
-	// factor are bit-identical at every setting (see runtime.Engine).
-	EngineWorkers int
 }
 
 // Result reports a completed factorization.
@@ -130,7 +124,6 @@ func Run(cfg Config) (*Result, error) {
 	eng.Inject(cfg.Faults)
 	eng.Policy = cfg.Sched
 	eng.Bcast = cfg.Bcast
-	eng.EngineWorkers = cfg.EngineWorkers
 	if cfg.Lookahead > 0 {
 		eng.Lookahead = cfg.Lookahead
 	}

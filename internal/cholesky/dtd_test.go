@@ -159,8 +159,7 @@ func TestDTDSealedAfterSeal(t *testing.T) {
 		runtime.Access{Data: 1, Mode: runtime.Write, WireBytes: 8}); err != nil {
 		t.Fatal(err)
 	}
-	// Spec is a pure read (parallel-mode shards call it concurrently); it
-	// must not latch the seal.
+	// Spec is a pure read; it must not latch the seal.
 	var s runtime.TaskSpec
 	g.Spec(0, &s)
 	if _, err := g.Insert(runtime.TaskSpec{Kind: hw.KindGemm, Device: 0, Prec: prec.FP64},

@@ -7,12 +7,9 @@ import "geompc/internal/prec"
 // diagonal-tile update A[m][m] -= A[m][k]·A[m][k]ᵀ of Algorithm 1 (alpha=-1,
 // beta=1). Rows of the triangle are independent, so the kernel blocks four
 // output rows at a time over the shared aj operand (each accumulator still
-// sums in l-order: bit-identical to the scalar loop) and parallelizes over
-// row panels when SetParallelism is raised.
+// sums in l-order: bit-identical to the scalar loop).
 func SyrkLN(n, k int, alpha float64, a []float64, lda int, beta float64, c []float64, ldc int) {
-	forPanels(n, func(i0, i1 int) {
-		syrkLN64Panel(i0, i1, k, alpha, a, lda, beta, c, ldc)
-	})
+	syrkLN64Panel(0, n, k, alpha, a, lda, beta, c, ldc)
 }
 
 func syrkLN64Panel(i0, i1, k int, alpha float64, a []float64, lda int, beta float64, c []float64, ldc int) {
@@ -89,9 +86,7 @@ func SyrkLN32(n, k int, alpha float64, a []float64, lda int, beta float64, c []f
 	pack32(af, a, n, k, lda)
 	al, be := float32(alpha), float32(beta)
 	betaZero := beta == 0
-	forPanels(n, func(i0, i1 int) {
-		syrkLN32Panel(i0, i1, k, al, betaZero, be, af, c, ldc)
-	})
+	syrkLN32Panel(0, n, k, al, betaZero, be, af, c, ldc)
 	putF32(af)
 }
 

@@ -9,12 +9,9 @@ import "geompc/internal/prec"
 // A[m][k] = A[m][k]·A[k][k]^{-T} of Algorithm 1.
 // Rows of B are solved independently, so the kernel blocks four rows over
 // the shared triangular operand (each row's recurrence runs in the same
-// order as the scalar loop: bit-identical) and parallelizes over row panels
-// when SetParallelism is raised.
+// order as the scalar loop: bit-identical).
 func TrsmRLT(m, n int, a []float64, lda int, b []float64, ldb int) {
-	forPanels(m, func(i0, i1 int) {
-		trsmRLT64Panel(i0, i1, n, a, lda, b, ldb)
-	})
+	trsmRLT64Panel(0, m, n, a, lda, b, ldb)
 }
 
 func trsmRLT64Panel(i0, i1, n int, a []float64, lda int, b []float64, ldb int) {
@@ -69,9 +66,7 @@ func TrsmRLT32(m, n int, a []float64, lda int, b []float64, ldb int) {
 	// independently with 4-row blocking over the shared triangle.
 	bf := f32Scratch(m * n)
 	pack32(bf, b, m, n, ldb)
-	forPanels(m, func(i0, i1 int) {
-		trsmRLT32Panel(i0, i1, n, af, bf)
-	})
+	trsmRLT32Panel(0, m, n, af, bf)
 	for i := 0; i < m; i++ {
 		bi := b[i*ldb:][:n]
 		for j, v := range bf[i*n:][:n] {

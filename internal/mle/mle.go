@@ -13,8 +13,6 @@ package mle
 import (
 	"fmt"
 	"math"
-	goruntime "runtime"
-	"sync"
 
 	"geompc/internal/cholesky"
 	"geompc/internal/geo"
@@ -26,6 +24,7 @@ import (
 	"geompc/internal/runtime"
 	"geompc/internal/solver"
 	"geompc/internal/stats"
+	"geompc/internal/sweep"
 	"geompc/internal/tile"
 )
 
@@ -371,9 +370,11 @@ type MCResult struct {
 
 // MonteCarlo runs the full study. Replicas share true parameters but use
 // independent RNG streams, so results are reproducible and embarrassingly
-// parallel across replicas — the harness fans them out over GOMAXPROCS
-// workers, and the estimate vectors keep replica order regardless of
-// completion order.
+// parallel: every (accuracy level, replica) pair is one point of a
+// sweep.Run grid fanned over GOMAXPROCS workers, and the results are
+// merged in grid order, so estimates and aggregates are bit-identical at
+// any worker count. A fatal data-generation failure aborts the study with
+// the lowest-index such error; fit failures are counted in Failed.
 func MonteCarlo(cfg MCConfig) ([]MCResult, error) {
 	if cfg.Replicas <= 0 || cfg.N <= 0 {
 		return nil, fmt.Errorf("mle: bad Monte-Carlo config: replicas=%d n=%d", cfg.Replicas, cfg.N)
@@ -382,41 +383,21 @@ func MonteCarlo(cfg MCConfig) ([]MCResult, error) {
 		cfg.MaxEvals = 600
 	}
 	np := cfg.Kernel.NumParams()
+	fits, err := sweep.Run(len(cfg.UReqs)*cfg.Replicas, sweep.Options{Workers: -1},
+		func(i int, _ *sweep.Context) (*FitResult, error) {
+			return runReplica(cfg, cfg.UReqs[i/cfg.Replicas], i%cfg.Replicas, np)
+		})
+	if err != nil {
+		return nil, err
+	}
 	results := make([]MCResult, 0, len(cfg.UReqs))
-	for _, ureq := range cfg.UReqs {
-		outcomes := make([]mcOutcome, cfg.Replicas)
-		workers := gomaxprocs()
-		if workers > cfg.Replicas {
-			workers = cfg.Replicas
-		}
-		var wg sync.WaitGroup
-		jobs := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for r := range jobs {
-					outcomes[r] = runReplica(cfg, ureq, r, np)
-				}
-			}()
-		}
-		for r := 0; r < cfg.Replicas; r++ {
-			jobs <- r
-		}
-		close(jobs)
-		wg.Wait()
-
+	for l, ureq := range cfg.UReqs {
 		mc := MCResult{UReq: ureq, Estimates: make([][]float64, np)}
-		for r := 0; r < cfg.Replicas; r++ {
-			o := outcomes[r]
-			if o.err != nil {
-				if o.fit == nil {
-					return nil, o.err
-				}
+		for _, fit := range fits[l*cfg.Replicas : (l+1)*cfg.Replicas] {
+			if fit == nil {
 				mc.Failed++
 				continue
 			}
-			fit := o.fit
 			for i := 0; i < np; i++ {
 				mc.Estimates[i] = append(mc.Estimates[i], fit.Theta[i])
 			}
@@ -431,22 +412,15 @@ func MonteCarlo(cfg MCConfig) ([]MCResult, error) {
 	return results, nil
 }
 
-// mcOutcome is one replica's result: a fit, a counted fit failure
-// (fit non-nil zero value + err), or a fatal data-generation error
-// (fit nil + err).
-type mcOutcome struct {
-	fit *FitResult
-	err error
-}
-
-// runReplica generates one replica's dataset and fits it.
-func runReplica(cfg MCConfig, ureq float64, r, np int) (o mcOutcome) {
+// runReplica generates one replica's dataset and fits it. A failed fit is
+// counted, not fatal: it returns a nil fit and a nil error. The error is
+// reserved for a data-generation failure, which aborts the study.
+func runReplica(cfg MCConfig, ureq float64, r, np int) (*FitResult, error) {
 	rng := stats.NewRNG(cfg.Seed, uint64(r))
 	locs := geo.GenerateLocations(cfg.N, cfg.Dim, rng)
 	z, err := geo.SimulateField(locs, cfg.Kernel, cfg.TrueTheta, cfg.Nugget, rng)
 	if err != nil {
-		o.err = fmt.Errorf("mle: replica %d data generation: %w", r, err)
-		return o
+		return nil, fmt.Errorf("mle: replica %d data generation: %w", r, err)
 	}
 	p := &Problem{
 		Locs: locs, Z: z, Kernel: cfg.Kernel, Nugget: cfg.Nugget,
@@ -459,12 +433,7 @@ func runReplica(cfg MCConfig, ureq float64, r, np int) (o mcOutcome) {
 	start, lo, hi := DefaultBounds(np)
 	fit, err := Fit(p, start, lo, hi, optimize.Options{Tol: 1e-9, MaxEvals: cfg.MaxEvals})
 	if err != nil {
-		o.fit = &FitResult{} // marks a counted (non-fatal) failure
-		o.err = err
-		return o
+		return nil, nil
 	}
-	o.fit = fit
-	return o
+	return fit, nil
 }
-
-func gomaxprocs() int { return goruntime.GOMAXPROCS(0) }

@@ -2,6 +2,8 @@ package mle
 
 import (
 	"math"
+	goruntime "runtime"
+	"slices"
 	"testing"
 
 	"geompc/internal/geo"
@@ -177,9 +179,21 @@ func TestMonteCarloSmall(t *testing.T) {
 		UReqs:     []float64{0, 1e-9},
 		Nugget:    1e-8, TileSize: 32, Seed: 11, MaxEvals: 250,
 	}
-	res, err := MonteCarlo(cfg)
-	if err != nil {
-		t.Fatal(err)
+	// Replicas fan out over the sweep pool; the merged results must not
+	// depend on how many cores ran them.
+	var res []MCResult
+	for _, procs := range []int{1, 4} {
+		prev := goruntime.GOMAXPROCS(procs)
+		got, err := MonteCarlo(cfg)
+		goruntime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res == nil {
+			res = got
+		} else if a, b := mcBits(res), mcBits(got); !slices.Equal(a, b) {
+			t.Errorf("GOMAXPROCS(%d) changed the Monte-Carlo results", procs)
+		}
 	}
 	if len(res) != 2 {
 		t.Fatalf("got %d result sets, want 2", len(res))
@@ -202,6 +216,28 @@ func TestMonteCarloSmall(t *testing.T) {
 	if math.Abs(m0-m9) > 0.03 {
 		t.Errorf("median beta: exact %g vs 1e-9 %g", m0, m9)
 	}
+}
+
+// mcBits flattens Monte-Carlo results into their exact bit patterns.
+func mcBits(res []MCResult) []uint64 {
+	var out []uint64
+	f := func(v float64) { out = append(out, math.Float64bits(v)) }
+	for _, r := range res {
+		f(r.UReq)
+		out = append(out, uint64(r.Failed))
+		for _, est := range r.Estimates {
+			for _, v := range est {
+				f(v)
+			}
+		}
+		st := r.Stats
+		out = append(out, uint64(st.Evaluations), uint64(st.BytesH2D), uint64(st.BytesD2H),
+			uint64(st.BytesNet), uint64(st.Iterations), uint64(st.Rejected))
+		f(st.Time)
+		f(st.Energy)
+		f(st.Flops)
+	}
+	return out
 }
 
 func TestMonteCarloValidation(t *testing.T) {

@@ -1,6 +1,6 @@
 // Package sweep is the deterministic parallel sweep executor: it fans a
-// grid of independent phantom-run configurations over a bounded worker
-// pool while keeping every output bit-identical to the serial path.
+// grid of independent simulation runs over a bounded worker pool while
+// keeping every output bit-identical to the serial path.
 //
 // The determinism argument has three legs:
 //
