@@ -12,11 +12,12 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Project-specific analyzers on top of gofmt and go vet: the intraprocedural
-# checkers (detercheck, preccast, lockcheck) plus the interprocedural suite
-# (precflow, deterflow, contractcheck, transitive hotalloc) built on the
-# whole-program call graph. See DESIGN.md §6e/§6j and the "Static analysis"
-# section of the README for the //geompc:hot and //geompc:nolint grammar.
+# Project-specific analyzers on top of gofmt and go vet, one per contract:
+# detercheck (determinism), preccast (precision), lockcheck (lock hygiene)
+# and hotalloc (allocation-free hot paths), each carried through the
+# whole-program call graph where its rule needs it. See DESIGN.md §6e/§6j
+# and the "Static analysis" section of the README for the //geompc:hot and
+# //geompc:nolint grammar.
 #
 # LINT_BUDGET guards wall-clock: the summary-based engine keeps the whole
 # run a small multiple of type-checking (~2.5s over 50 packages as of the

@@ -1,12 +1,12 @@
 // Command geompclint is the repo's multichecker: it runs the
-// internal/analysis suite — the intraprocedural analyzers detercheck
-// (determinism), preccast (precision safety), lockcheck (lock hygiene) and
-// hotalloc (allocation-free hot paths, now transitive), plus the
-// interprocedural dataflow analyzers deterflow (nondeterminism reaching the
-// deterministic packages), precflow (call chains reaching unaudited
-// precision lowerings) and contractcheck (solver.Backend determinism,
-// DESIGN.md §6i) — over the packages matching the given patterns and exits
-// nonzero on any diagnostic, including misused //geompc:nolint directives.
+// internal/analysis suite — detercheck (the determinism contract: sources
+// in the deterministic packages, call chains carrying nondeterminism into
+// them, and solver.Backend determinism, DESIGN.md §6i), preccast (the
+// precision contract: lossy lowerings outside the audited conversion API
+// and call chains reaching them), lockcheck (lock hygiene) and hotalloc
+// (allocation-free hot paths, transitively) — over the packages matching
+// the given patterns and exits nonzero on any diagnostic, including misused
+// //geompc:nolint directives.
 //
 // Usage:
 //
@@ -29,24 +29,18 @@ import (
 	"os"
 
 	"geompc/internal/analysis"
-	"geompc/internal/analysis/contractcheck"
 	"geompc/internal/analysis/detercheck"
-	"geompc/internal/analysis/deterflow"
 	"geompc/internal/analysis/hotalloc"
 	"geompc/internal/analysis/lockcheck"
 	"geompc/internal/analysis/preccast"
-	"geompc/internal/analysis/precflow"
 )
 
 // analyzers is the registered suite, in reporting-name order.
 var analyzers = []*analysis.Analyzer{
-	contractcheck.Analyzer,
 	detercheck.Analyzer,
-	deterflow.Analyzer,
 	hotalloc.Analyzer,
 	lockcheck.Analyzer,
 	preccast.Analyzer,
-	precflow.Analyzer,
 }
 
 func main() {

@@ -82,15 +82,24 @@ func Dist(a, b float64) float64 { return a - b }
 	}
 }
 
-// TestRunList describes the suite, nolint meta-analyzer included.
+// TestRunList describes the suite, nolint meta-analyzer included: exactly
+// one analyzer per contract, and none of the names folded into them.
 func TestRunList(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-list"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"detercheck", "preccast", "lockcheck", "hotalloc", "nolint"} {
-		if !strings.Contains(out.String(), name) {
-			t.Errorf("-list missing %s:\n%s", name, out.String())
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		names = append(names, strings.Fields(line)[0])
+	}
+	want := []string{"detercheck", "hotalloc", "lockcheck", "preccast", "nolint"}
+	if strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Errorf("-list names %v, want %v", names, want)
+	}
+	for _, gone := range []string{"deterflow", "precflow", "contractcheck"} {
+		if strings.Contains(out.String(), gone) {
+			t.Errorf("-list still mentions %s:\n%s", gone, out.String())
 		}
 	}
 }

@@ -14,10 +14,13 @@
 //     internal/fp16 / internal/prec (the software analogue of the paper's
 //     STC/TTC conversion points).
 //
-// The concrete analyzers live in subpackages (detercheck, preccast,
-// lockcheck, hotalloc); cmd/geompclint is the multichecker binary that runs
-// them all. Diagnostics can be suppressed per line with a mandatory-reason
-// directive:
+// The concrete analyzers live in subpackages, one per contract: detercheck
+// and preccast enforce the two above, lockcheck and hotalloc lock hygiene
+// and allocation-free hot paths. detercheck, preccast and hotalloc each
+// define their root sites once and report them both where they are written
+// and, through the whole-program call graph and summary engine (Program,
+// Flow), along the call chains that reach them. cmd/geompclint is the multichecker binary that runs them all.
+// Diagnostics can be suppressed per line with a mandatory-reason directive:
 //
 //	//geompc:nolint <analyzer> <reason>
 //

@@ -30,40 +30,13 @@ type want struct {
 	hit  bool
 }
 
-// Run type-checks the fixture directory as importPath, applies the
-// analyzers through the driver (so //geompc:nolint handling is part of what
-// fixtures exercise), and asserts the want annotations.
-func Run(t *testing.T, dir, importPath string, analyzers ...*analysis.Analyzer) {
-	t.Helper()
-	pkg, err := analysis.LoadDir(dir, importPath)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", dir, err)
-	}
-	diags := analysis.Run([]*analysis.Package{pkg}, analyzers)
-
-	wants, err := parseWants(pkg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, d := range diags {
-		if !claim(wants, d) {
-			t.Errorf("unexpected diagnostic: %s", d)
-		}
-	}
-	for _, w := range wants {
-		if !w.hit {
-			t.Errorf("%s:%d: want %q matched no diagnostic", w.file, w.line, w.re)
-		}
-	}
-}
-
-// RunDirs type-checks several fixture directories as one mini-program (in
-// order, so later fixtures may import earlier ones by their claimed import
-// path), runs the analyzers over every package through the driver, and
-// asserts the want annotations across all of them. This is how the
-// interprocedural fixtures model cross-package call chains: a taint rooted
-// in one fixture package surfaces as a finding in another.
+// RunDirs type-checks one or more fixture directories as one mini-program
+// (in order, so later fixtures may import earlier ones by their claimed
+// import path), runs the analyzers over every package through the driver
+// (so //geompc:nolint handling is part of what fixtures exercise), and
+// asserts the want annotations across all of them. Several directories are
+// how the interprocedural fixtures model cross-package call chains: a taint
+// rooted in one fixture package surfaces as a finding in another.
 func RunDirs(t *testing.T, specs []analysis.DirSpec, analyzers ...*analysis.Analyzer) {
 	t.Helper()
 	pkgs, err := analysis.LoadDirs(specs...)

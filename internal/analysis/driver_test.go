@@ -29,23 +29,23 @@ var stub = &Analyzer{
 	},
 }
 
-// loadSource type-checks one source string as a package.
-func loadSource(t *testing.T, src string) *Package {
+// loadSource type-checks one source string as a one-package program.
+func loadSource(t *testing.T, src string) []*Package {
 	t.Helper()
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "fixture.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := LoadDir(dir, "geompc/internal/fixture")
+	pkgs, err := LoadDirs(DirSpec{Dir: dir, ImportPath: "geompc/internal/fixture"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pkg
+	return pkgs
 }
 
 func runStub(t *testing.T, src string) []Diagnostic {
 	t.Helper()
-	return Run([]*Package{loadSource(t, src)}, []*Analyzer{stub})
+	return Run(loadSource(t, src), []*Analyzer{stub})
 }
 
 const header = "package fixture\n\nfunc boom() {}\nfunc ok() {}\n\n"
@@ -141,10 +141,10 @@ func TestDiagnosticOrder(t *testing.T) {
 	}
 }
 
-// TestLoadDirRejectsEmpty guards the fixture loader's error path.
-func TestLoadDirRejectsEmpty(t *testing.T) {
-	if _, err := LoadDir(t.TempDir(), "x"); err == nil {
-		t.Fatal("LoadDir on an empty dir must fail")
+// TestLoadDirsRejectsEmpty guards the fixture loader's error path.
+func TestLoadDirsRejectsEmpty(t *testing.T) {
+	if _, err := LoadDirs(DirSpec{Dir: t.TempDir(), ImportPath: "x"}); err == nil {
+		t.Fatal("LoadDirs on an empty dir must fail")
 	}
 }
 

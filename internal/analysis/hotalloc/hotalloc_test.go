@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"geompc/internal/analysis"
 	"geompc/internal/analysis/checkertest"
 	"geompc/internal/analysis/hotalloc"
 )
@@ -14,5 +15,5 @@ import (
 // functions are ignored.
 func TestFixture(t *testing.T) {
 	dir := filepath.Join("..", "testdata", "src", "hotalloc")
-	checkertest.Run(t, dir, "geompc/internal/runtime", hotalloc.Analyzer)
+	checkertest.RunDirs(t, []analysis.DirSpec{{Dir: dir, ImportPath: "geompc/internal/runtime"}}, hotalloc.Analyzer)
 }

@@ -84,16 +84,6 @@ func LoadProgram(dir string, patterns ...string) (*Program, error) {
 	return prog, nil
 }
 
-// LoadPackages is the PR 5 entry point, preserved for the per-package
-// analyzers' tests: the roots of LoadProgram.
-func LoadPackages(dir string, patterns ...string) ([]*Package, error) {
-	prog, err := LoadProgram(dir, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	return prog.Roots, nil
-}
-
 // goList runs `go list -json` with args in dir and decodes the stream.
 // Packages without Go files (e.g. "unsafe" has one; pseudo-packages don't)
 // are kept — the checker special-cases them.
@@ -306,29 +296,18 @@ func (li *loaderImporter) Import(imp string) (*types.Package, error) {
 	return pkg, nil
 }
 
-// LoadDir parses and type-checks every .go file directly inside dir as one
-// package with the given import path. Used by the fixture runner
-// (checkertest) and the geompclint smoke test, where fixtures live under
-// testdata and are invisible to `go list`. The explicit import path matters:
-// analyzers scope themselves by package path (e.g. detercheck's
-// virtual-clock package set), so fixtures choose which regime they test by
-// the path they claim.
-func LoadDir(dir, importPath string) (*Package, error) {
-	pkgs, err := LoadDirs(DirSpec{Dir: dir, ImportPath: importPath})
-	if err != nil {
-		return nil, err
-	}
-	return pkgs[0], nil
-}
-
 // DirSpec names one fixture directory and the import path it claims.
+// Fixtures live under testdata, invisible to `go list`, and the claimed
+// path matters: analyzers scope themselves by package path (e.g.
+// detercheck's deterministic package set), so a fixture chooses which
+// regime it tests by the path it claims.
 type DirSpec struct {
 	Dir        string
 	ImportPath string
 }
 
-// LoadDirs type-checks several fixture directories as one mini-program, in
-// the given order; later fixtures may import earlier ones by their claimed
+// LoadDirs type-checks one or more fixture directories as one mini-program,
+// in the given order; later fixtures may import earlier ones by their claimed
 // import path (how the interprocedural fixtures model cross-package call
 // chains, e.g. a "solver" package and an implementation package). Standard
 // library imports fall back to the source importer.

@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"geompc/internal/analysis"
 	"geompc/internal/analysis/checkertest"
 	"geompc/internal/analysis/lockcheck"
 )
@@ -13,5 +14,5 @@ import (
 // nolint hand-off pattern, and mutex copies through interface boxing.
 func TestFixture(t *testing.T) {
 	dir := filepath.Join("..", "testdata", "src", "lockcheck")
-	checkertest.Run(t, dir, "geompc/internal/obs", lockcheck.Analyzer)
+	checkertest.RunDirs(t, []analysis.DirSpec{{Dir: dir, ImportPath: "geompc/internal/obs"}}, lockcheck.Analyzer)
 }

@@ -2,14 +2,14 @@ package analysis
 
 // Whole-program view: a deterministic call graph over every module-local
 // package plus a summary cache, built once per lint run and shared by the
-// interprocedural analyzers (precflow, deterflow, contractcheck and the
-// transitive half of hotalloc). The graph is conservative where Go is
-// dynamic — interface calls resolve to every method in the program with a
-// matching name and signature (class-hierarchy analysis), closures and
-// method values add "ref" edges from the function that creates the value —
-// and silent where it cannot resolve at all (calls through arbitrary
-// function-typed values), which DESIGN.md §6j documents as the engine's
-// soundness boundary.
+// interprocedural analyzers (the chain and backend rules of detercheck, the
+// chain rule of preccast, and the transitive half of hotalloc). The graph is
+// conservative where Go is dynamic — interface calls resolve to every
+// method in the program with a matching name and signature
+// (class-hierarchy analysis), closures and method values add "ref" edges
+// from the function that creates the value — and silent where it cannot
+// resolve at all (calls through arbitrary function-typed values), which
+// DESIGN.md §6j documents as the engine's soundness boundary.
 //
 // Everything about the graph is deterministic: functions are keyed by a
 // stable string ID (pkgpath.(Recv).Name, closures pkgpath.Parent$n in
@@ -24,7 +24,6 @@ import (
 	"go/types"
 	"path"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -113,6 +112,22 @@ func (f *Func) Body() *ast.BlockStmt {
 	return nil
 }
 
+// InspectOwn walks fn's own body, skipping nested function literals — each
+// literal is its own call-graph node and analyzes its own body. When fn
+// itself is a literal, its body is the root and still walked.
+func InspectOwn(fn *Func, visit func(ast.Node) bool) {
+	body := fn.Body()
+	if body == nil {
+		return
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		if _, isLit := n.(*ast.FuncLit); isLit {
+			return false
+		}
+		return visit(n)
+	})
+}
+
 // ProgramFromPackages wraps already-loaded packages (fixtures, tests) as a
 // whole program: every package is both root and local.
 func ProgramFromPackages(pkgs []*Package) *Program {
@@ -156,8 +171,8 @@ type memoEntry struct {
 }
 
 // Memo computes-or-returns a named program-wide result. Analyzer Prepare
-// hooks use it so shared summaries (the nondeterminism facts used by both
-// deterflow and contractcheck) are evaluated once. build may call back
+// hooks use it so a summary (detercheck's nondeterminism facts, read by
+// every package's Run) is evaluated once. build may call back
 // into the Program (including Memo with a *different* key); a key must not
 // recursively Memo itself.
 func (p *Program) Memo(key string, build func() any) any {
@@ -617,12 +632,4 @@ func tarjanSCC(funcs []*Func) [][]*Func {
 		}
 	}
 	return sccs
-}
-
-// LocalPkg reports whether path belongs to the analyzed module.
-func (p *Program) LocalPkg(path string) bool {
-	if p.Module == "" {
-		return true
-	}
-	return path == p.Module || strings.HasPrefix(path, p.Module+"/")
 }

@@ -11,11 +11,11 @@ const cgPath = "geompc/internal/fixture"
 
 func loadCallgraph(t *testing.T) *analysis.Program {
 	t.Helper()
-	pkg, err := analysis.LoadDir(filepath.Join("testdata", "src", "callgraph"), cgPath)
+	pkgs, err := analysis.LoadDirs(analysis.DirSpec{Dir: filepath.Join("testdata", "src", "callgraph"), ImportPath: cgPath})
 	if err != nil {
 		t.Fatalf("loading callgraph fixture: %v", err)
 	}
-	return analysis.ProgramFromPackages([]*analysis.Package{pkg})
+	return analysis.ProgramFromPackages(pkgs)
 }
 
 // edgeTargets collects the IDs fn's edges reach, keyed by edge kind.

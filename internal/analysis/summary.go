@@ -3,7 +3,7 @@ package analysis
 // Summary-based interprocedural dataflow. Each flow analyzer describes its
 // lattice with a FlowSpec — what counts as a "bad" site inside a function
 // body (Direct), how body-less extern callees behave (Extern), and which
-// edges refuse to propagate (Block, the sanitizer hook: e.g. precflow cuts
+// edges refuse to propagate (Block, the sanitizer hook: e.g. preccast cuts
 // every edge that crosses into the audited conversion API). The engine
 // then computes one fact per function bottom-up over the call-graph SCCs:
 //

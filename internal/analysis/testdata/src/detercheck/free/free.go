@@ -1,5 +1,5 @@
 // Fixture for detercheck, loaded as geompc/internal/geo — not a
-// virtual-clock package, so neither rule applies.
+// deterministic package, so neither rule applies.
 package geo
 
 import "time"

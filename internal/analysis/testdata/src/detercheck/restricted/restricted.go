@@ -1,6 +1,6 @@
-// Fixture for detercheck, loaded as geompc/internal/runtime — a
-// virtual-clock package where both the clock rule and the map-order rule
-// apply.
+// Fixture for detercheck, loaded as each deterministic package in turn
+// (runtime, sched, ..., obs, plan): the clock rule and the map-order rule
+// apply in every one.
 package runtime
 
 import (

@@ -38,11 +38,6 @@ func Fig6Cases() []AccuracyCase {
 	}
 }
 
-// AccuracyLevels returns the accuracy thresholds compared in the figures:
-// exact FP64 (0), the paper's validated 1e-9, the sqexp-acceptable 1e-4,
-// and an aggressive 1e-2 that visibly degrades Matérn estimation.
-func AccuracyLevels() []float64 { return []float64{0, 1e-9, 1e-4, 1e-2} }
-
 // AccuracyResult is the Monte-Carlo outcome for one case at one level.
 type AccuracyResult struct {
 	Case      string
@@ -54,15 +49,10 @@ type AccuracyResult struct {
 	Failed    int
 }
 
-// AccuracyStudy runs the Monte-Carlo estimation study for one case across
-// the accuracy levels: replicas synthetic datasets of n locations each,
-// refit at every level. Results arrive per (level, parameter).
-func AccuracyStudy(c AccuracyCase, levels []float64, replicas, n, tileSize int, seed uint64) ([]AccuracyResult, error) {
-	return AccuracyStudyEvals(c, levels, replicas, n, tileSize, seed, 0)
-}
-
-// AccuracyStudyEvals is AccuracyStudy with an explicit optimizer-evaluation
-// cap (0 uses the MLE default).
+// AccuracyStudyEvals runs the Monte-Carlo estimation study for one case
+// across the accuracy levels: replicas synthetic datasets of n locations
+// each, refit at every level, with at most maxEvals optimizer evaluations
+// per fit (0 uses the MLE default). Results arrive per (level, parameter).
 func AccuracyStudyEvals(c AccuracyCase, levels []float64, replicas, n, tileSize int, seed uint64, maxEvals int) ([]AccuracyResult, error) {
 	cfg := mle.MCConfig{
 		Replicas:  replicas,

@@ -100,7 +100,7 @@ func TestTable2MatchesPaper(t *testing.T) {
 }
 
 func TestConvSweepShape(t *testing.T) {
-	rows, err := ConvSweep(hw.SummitNode, 1, 1, []int{16384, 32768}, 2048)
+	rows, err := ConvSweepOpts(hw.SummitNode, 1, 1, []int{16384, 32768}, 2048, "", SchedOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestEnergyMPSavesEnergy(t *testing.T) {
 }
 
 func TestScalingShapes(t *testing.T) {
-	weak, err := WeakScaling([]int{1, 4}, 32768, 2048)
+	weak, err := WeakScalingOpts([]int{1, 4}, 32768, 2048, "", SchedOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestScalingShapes(t *testing.T) {
 	if weak[1].Tflops < 2.8*weak[0].Tflops {
 		t.Errorf("weak scaling poor: %g -> %g Tflop/s", weak[0].Tflops, weak[1].Tflops)
 	}
-	strong, err := StrongScaling([]int{1, 4}, 65536, 2048)
+	strong, err := StrongScalingOpts([]int{1, 4}, 65536, 2048, "", SchedOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestMPEffect(t *testing.T) {
 }
 
 func TestAccuracyStudySmall(t *testing.T) {
-	res, err := AccuracyStudy(Fig5Cases()[0], []float64{0, 1e-9}, 3, 100, 32, 5)
+	res, err := AccuracyStudyEvals(Fig5Cases()[0], []float64{0, 1e-9}, 3, 100, 32, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,19 +44,14 @@ func defaultChaosPlan(gpus int, makespan float64) runtime.FaultPlan {
 	}
 }
 
-// ChaosAblation runs the Fig 8 precision configurations on a single node
-// with `gpus` GPUs, fault-free and under a fault plan, in phantom mode.
-// When spec is empty each configuration gets defaultChaosPlan scaled to its
-// own baseline; otherwise spec is parsed by runtime.ParseFaultSpec and
-// applied verbatim (absolute virtual times) to every configuration.
-func ChaosAblation(node *hw.NodeSpec, gpus, n, ts int, spec string) ([]ChaosRow, error) {
-	return ChaosAblationOpts(node, gpus, n, ts, spec, SweepOpts{})
-}
-
-// ChaosAblationOpts is ChaosAblation routed through the sweep executor:
-// one grid point per precision configuration, each producing its
-// fault-free baseline row and its chaos row (the chaos run depends on the
-// baseline's makespan, so the pair stays inside one point).
+// ChaosAblationOpts runs the Fig 8 precision configurations on a single
+// node with `gpus` GPUs, fault-free and under a fault plan, in phantom
+// mode. When spec is empty each configuration gets defaultChaosPlan scaled
+// to its own baseline; otherwise spec is parsed by runtime.ParseFaultSpec
+// and applied verbatim (absolute virtual times) to every configuration.
+// The sweep executor runs one grid point per precision configuration, each
+// producing its fault-free baseline row and its chaos row (the chaos run
+// depends on the baseline's makespan, so the pair stays inside one point).
 func ChaosAblationOpts(node *hw.NodeSpec, gpus, n, ts int, spec string, so SweepOpts) ([]ChaosRow, error) {
 	if gpus < 2 {
 		return nil, fmt.Errorf("bench: chaos ablation needs at least 2 GPUs for failover, got %d", gpus)

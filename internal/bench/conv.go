@@ -62,22 +62,12 @@ type ConvRow struct {
 	Digest uint64
 }
 
-// ConvSweep runs Fig 8 (single GPU) or Fig 11 (full node) for one machine:
-// every configuration × {STC, TTC} × matrix size, in phantom mode.
-func ConvSweep(node *hw.NodeSpec, ranks, gpusPerRank int, sizes []int, ts int) ([]ConvRow, error) {
-	return ConvSweepFaults(node, ranks, gpusPerRank, sizes, ts, "")
-}
-
-// ConvSweepFaults is ConvSweep with a fault plan injected into every run
-// (runtime.ParseFaultSpec grammar; empty means fault-free). Reported times
-// then include the recovery overhead the plan causes.
-func ConvSweepFaults(node *hw.NodeSpec, ranks, gpusPerRank int, sizes []int, ts int, faultSpec string) ([]ConvRow, error) {
-	return ConvSweepOpts(node, ranks, gpusPerRank, sizes, ts, faultSpec, SchedOpts{})
-}
-
-// ConvSweepOpts is the fully parameterized sweep: a fault plan plus a named
-// scheduling policy and broadcast topology (zero SchedOpts = historical
-// FIFO + binomial).
+// ConvSweepOpts runs Fig 8 (single GPU) or Fig 11 (full node) for one
+// machine: every configuration × {STC, TTC} × matrix size, in phantom mode.
+// faultSpec injects a fault plan into every run (runtime.ParseFaultSpec
+// grammar; empty means fault-free), and reported times then include the
+// recovery overhead the plan causes. so names the scheduling policy and
+// broadcast topology (zero SchedOpts = historical FIFO + binomial).
 func ConvSweepOpts(node *hw.NodeSpec, ranks, gpusPerRank int, sizes []int, ts int, faultSpec string, so SchedOpts) ([]ConvRow, error) {
 	return convSweep(node, ranks, gpusPerRank, sizes, ts, faultSpec, so, nil)
 }

@@ -175,12 +175,12 @@ func TestPlanAblationParallelMatchesSerial(t *testing.T) {
 		}
 		return out
 	}
-	want, err := PlanAblationOpts(1024, 128, 4, hw.SummitNode, SweepOpts{})
+	want, err := PlanAblationBackend(1024, 128, 4, hw.SummitNode, "direct", SweepOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{0, 1, 2, 64} {
-		got, err := PlanAblationOpts(1024, 128, 4, hw.SummitNode, SweepOpts{Workers: w})
+		got, err := PlanAblationBackend(1024, 128, 4, hw.SummitNode, "direct", SweepOpts{Workers: w})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}

@@ -29,33 +29,26 @@ type PlanRow struct {
 	Hits, Misses, Invalidations int64
 }
 
-// PlanAblation measures what the compiled-plan cache buys a repeated
-// workload: the fresh loop pays k full discrete-event simulations, the
-// cached loop pays one compile plus k−1 replays — O(1×schedule +
+// PlanAblationBackend measures what the compiled-plan cache buys a
+// repeated workload: the fresh loop pays k full discrete-event simulations,
+// the cached loop pays one compile plus k−1 replays — O(1×schedule +
 // k×numerics). Phantom mode (no numeric bodies) isolates the scheduling
 // cost itself. The two loops must agree on every schedule digest; a
 // mismatch is returned as an error, making the ablation double as a
 // self-check.
-func PlanAblation(n, ts, k int, node *hw.NodeSpec) ([]PlanRow, error) {
-	return PlanAblationOpts(n, ts, k, node, SweepOpts{})
-}
-
-// PlanAblationOpts is PlanAblation routed through the sweep executor: a
-// two-point grid (the fresh loop and the cached loop), each running its
-// k-evaluation loop serially inside its point. The digest cross-check and
-// the speedup column are computed after the sweep, so the rows carry the
-// same self-check at any worker count — though with Workers > 0 the two
-// variants time-share cores and the wall-clock comparison loses meaning;
-// keep this family serial when the speedup column matters.
-func PlanAblationOpts(n, ts, k int, node *hw.NodeSpec, so SweepOpts) ([]PlanRow, error) {
-	return PlanAblationBackend(n, ts, k, node, "direct", so)
-}
-
-// PlanAblationBackend is the ablation through a named solver backend:
-// "direct" replays one frozen factorization schedule per evaluation
-// (bit-identical to the historical loop); "cg" replays one compiled plan
-// per distinct chunk precision schedule, so the counters show the
-// hit/miss mix an iterative MLE loop would see.
+//
+// backend names the solver: "direct" replays one frozen factorization
+// schedule per evaluation (bit-identical to the historical loop); "cg"
+// replays one compiled plan per distinct chunk precision schedule, so the
+// counters show the hit/miss mix an iterative MLE loop would see.
+//
+// The sweep executor runs a two-point grid (the fresh loop and the cached
+// loop), each running its k-evaluation loop serially inside its point. The
+// digest cross-check and the speedup column are computed after the sweep,
+// so the rows carry the same self-check at any worker count — though with
+// Workers > 0 the two variants time-share cores and the wall-clock
+// comparison loses meaning; keep this family serial when the speedup
+// column matters.
 func PlanAblationBackend(n, ts, k int, node *hw.NodeSpec, backend string, so SweepOpts) ([]PlanRow, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("bench: plan ablation needs k >= 2 evaluations, got %d", k)

@@ -63,7 +63,7 @@ func BenchmarkPlanAblationMLECached(b *testing.B) {
 // TestPlanAblation exercises the cmd/ablation table end to end and checks
 // its built-in digest self-verification plus the expected counter shape.
 func TestPlanAblation(t *testing.T) {
-	rows, err := PlanAblation(1024, 128, 6, hw.SummitNode)
+	rows, err := PlanAblationBackend(1024, 128, 6, hw.SummitNode, "direct", SweepOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,21 +111,12 @@ func runScale(cfg scaleConfig, nodes, n, ts int, seed uint64, faultSpec string, 
 	}, nil
 }
 
-// WeakScaling runs Fig 12a: the matrix grows with the GPU count so per-GPU
-// memory stays constant (N ∝ √GPUs), FP64 configuration.
-func WeakScaling(nodeCounts []int, baseN, ts int) ([]ScaleRow, error) {
-	return WeakScalingFaults(nodeCounts, baseN, ts, "")
-}
-
-// WeakScalingFaults is WeakScaling with a fault plan injected into every
-// run; reported times include the recovery overhead.
-func WeakScalingFaults(nodeCounts []int, baseN, ts int, faultSpec string) ([]ScaleRow, error) {
-	return WeakScalingOpts(nodeCounts, baseN, ts, faultSpec, SchedOpts{})
-}
-
-// WeakScalingOpts is the fully parameterized weak-scaling sweep: a fault
-// plan plus a named scheduling policy and broadcast topology, one sweep
-// point per node count (parallel when so.Workers > 0).
+// WeakScalingOpts runs Fig 12a: the matrix grows with the GPU count so
+// per-GPU memory stays constant (N ∝ √GPUs), FP64 configuration. A
+// non-empty faultSpec injects a fault plan into every run (reported times
+// include the recovery overhead); so names the scheduling policy and
+// broadcast topology. One sweep point per node count (parallel when
+// so.Workers > 0).
 func WeakScalingOpts(nodeCounts []int, baseN, ts int, faultSpec string, so SchedOpts) ([]ScaleRow, error) {
 	base := float64(nodeCounts[0])
 	return sweep.Run(len(nodeCounts), so.sweepOptions(), func(i int, ctx *sweep.Context) (ScaleRow, error) {
@@ -136,21 +127,11 @@ func WeakScalingOpts(nodeCounts []int, baseN, ts int, faultSpec string, so Sched
 	})
 }
 
-// StrongScaling runs Fig 12b: fixed matrix size (the paper uses 798,720)
-// over increasing node counts, FP64 configuration.
-func StrongScaling(nodeCounts []int, n, ts int) ([]ScaleRow, error) {
-	return StrongScalingFaults(nodeCounts, n, ts, "")
-}
-
-// StrongScalingFaults is StrongScaling with a fault plan injected into
-// every run; reported times include the recovery overhead.
-func StrongScalingFaults(nodeCounts []int, n, ts int, faultSpec string) ([]ScaleRow, error) {
-	return StrongScalingOpts(nodeCounts, n, ts, faultSpec, SchedOpts{})
-}
-
-// StrongScalingOpts is the fully parameterized strong-scaling sweep: a
-// fault plan plus a named scheduling policy and broadcast topology, one
-// sweep point per node count (parallel when so.Workers > 0).
+// StrongScalingOpts runs Fig 12b: fixed matrix size (the paper uses
+// 798,720) over increasing node counts, FP64 configuration. A non-empty
+// faultSpec injects a fault plan into every run (reported times include
+// the recovery overhead); so names the scheduling policy and broadcast
+// topology. One sweep point per node count (parallel when so.Workers > 0).
 func StrongScalingOpts(nodeCounts []int, n, ts int, faultSpec string, so SchedOpts) ([]ScaleRow, error) {
 	return sweep.Run(len(nodeCounts), so.sweepOptions(), func(i int, ctx *sweep.Context) (ScaleRow, error) {
 		return runScale(scaleConfig{name: "FP64", uniform: prec.FP64}, nodeCounts[i], n, ts, 1, faultSpec, so, ctx.Reg)

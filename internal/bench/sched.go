@@ -75,17 +75,12 @@ type SchedRow struct {
 	BytesNet int64
 }
 
-// SchedAblation runs the Fig 11 multi-GPU workload (mixed-precision
+// SchedAblationOpts runs the Fig 11 multi-GPU workload (mixed-precision
 // FP64/FP16_32 Auto on a full node) under every built-in scheduling policy,
-// in phantom mode. The interesting column is BytesH2D: Locality re-places
-// consumers onto the device already holding their tiles, so its staging
-// traffic must come in strictly below FIFO's.
-func SchedAblation(node *hw.NodeSpec, ranks, gpusPerRank int, sizes []int, ts int) ([]SchedRow, error) {
-	return SchedAblationOpts(node, ranks, gpusPerRank, sizes, ts, SweepOpts{})
-}
-
-// SchedAblationOpts is SchedAblation routed through the sweep executor
-// with the given execution knobs (zero value = serial, bit-identical).
+// in phantom mode, through the sweep executor with the given execution
+// knobs (zero value = serial, bit-identical). The interesting column is
+// BytesH2D: Locality re-places consumers onto the device already holding
+// their tiles, so its staging traffic must come in strictly below FIFO's.
 func SchedAblationOpts(node *hw.NodeSpec, ranks, gpusPerRank int, sizes []int, ts int, so SweepOpts) ([]SchedRow, error) {
 	plat, err := runtime.NewPlatform(node, ranks, gpusPerRank)
 	if err != nil {
@@ -138,16 +133,12 @@ type BcastRow struct {
 	BytesNet int64
 }
 
-// BcastAblation runs a multi-rank mixed-precision factorization under every
-// built-in broadcast topology, in phantom mode. Bytes on the wire are
-// identical by construction; what moves is when receivers get the panel —
-// the makespan column shows the cost of each shape.
-func BcastAblation(node *hw.NodeSpec, ranks int, sizes []int, ts int) ([]BcastRow, error) {
-	return BcastAblationOpts(node, ranks, sizes, ts, SweepOpts{})
-}
-
-// BcastAblationOpts is BcastAblation routed through the sweep executor
-// with the given execution knobs (zero value = serial, bit-identical).
+// BcastAblationOpts runs a multi-rank mixed-precision factorization under
+// every built-in broadcast topology, in phantom mode, through the sweep
+// executor with the given execution knobs (zero value = serial,
+// bit-identical). Bytes on the wire are identical by construction; what
+// moves is when receivers get the panel — the makespan column shows the
+// cost of each shape.
 func BcastAblationOpts(node *hw.NodeSpec, ranks int, sizes []int, ts int, so SweepOpts) ([]BcastRow, error) {
 	plat, err := runtime.NewPlatform(node, ranks, 0)
 	if err != nil {

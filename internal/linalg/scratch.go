@@ -3,8 +3,6 @@ package linalg
 import (
 	"math/bits"
 	"sync"
-
-	"geompc/internal/fp16"
 )
 
 // Scratch pools avoid per-kernel allocation churn: the mixed-precision
@@ -35,22 +33,6 @@ func f32Scratch(n int) []float32 {
 func putF32(s []float32) {
 	s = s[:0]
 	f32Pool.Put(&s)
-}
-
-var halfPool = sync.Pool{New: func() any { s := make([]fp16.Half, 0, 4096); return &s }}
-
-//geompc:hot
-func halfScratch(n int) []fp16.Half {
-	p := halfPool.Get().(*[]fp16.Half)
-	if cap(*p) < n {
-		*p = make([]fp16.Half, n, scratchCap(n)) //geompc:nolint hotalloc grows once to the next power of two, then the pooled buffer is reused
-	}
-	return (*p)[:n]
-}
-
-func putHalf(s []fp16.Half) {
-	s = s[:0]
-	halfPool.Put(&s)
 }
 
 var f64Pool = sync.Pool{New: func() any { s := make([]float64, 0, 4096); return &s }}
