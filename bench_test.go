@@ -245,6 +245,10 @@ func renderAccuracy(res []bench.AccuracyResult) string {
 		if r.UReq > 0 {
 			u = fmt.Sprintf("%.0e", r.UReq)
 		}
+		if r.Summary.N == 0 { // every replica failed
+			t.Add(u, r.Param, r.Truth, "-", "-", "-")
+			continue
+		}
 		t.Add(u, r.Param, r.Truth, r.Summary.Median, r.Summary.Q1, r.Summary.Q3)
 	}
 	return renderTable(t)

@@ -83,6 +83,10 @@ func run(args []string, out io.Writer) error {
 				u = fmt.Sprintf("%.0e", r.UReq)
 			}
 			s := r.Summary
+			if s.N == 0 { // every replica failed: no estimate to summarize
+				t.Add(u, r.Param, r.Truth, "-", "-", "-", "-", "-", "-", r.Failed)
+				continue
+			}
 			t.Add(u, r.Param, r.Truth, s.Median, s.Mean, s.Q1, s.Q3, s.WhiskerLo, s.WhiskerHi, r.Failed)
 		}
 		t.Write(out)

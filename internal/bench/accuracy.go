@@ -39,6 +39,8 @@ func Fig6Cases() []AccuracyCase {
 }
 
 // AccuracyResult is the Monte-Carlo outcome for one case at one level.
+// When every replica's fit failed, Estimates is empty and Summary is the
+// zero value (Summary.N == 0).
 type AccuracyResult struct {
 	Case      string
 	UReq      float64
@@ -74,18 +76,18 @@ func AccuracyStudyEvals(c AccuracyCase, levels []float64, replicas, n, tileSize 
 	var out []AccuracyResult
 	for _, mc := range mcs {
 		for pi, name := range names {
-			if len(mc.Estimates[pi]) == 0 {
-				continue
-			}
-			out = append(out, AccuracyResult{
+			r := AccuracyResult{
 				Case:      c.Name,
 				UReq:      mc.UReq,
 				Param:     name,
 				Truth:     c.TrueTheta[pi],
-				Summary:   stats.Summarize(mc.Estimates[pi]),
 				Estimates: mc.Estimates[pi],
 				Failed:    mc.Failed,
-			})
+			}
+			if len(r.Estimates) > 0 {
+				r.Summary = stats.Summarize(r.Estimates)
+			}
+			out = append(out, r)
 		}
 	}
 	return out, nil

@@ -147,8 +147,8 @@ func (g *graph) bID(t int) runtime.DataID {
 	return runtime.DataID(g.vecBase() + int64((5*g.iters+2)*g.nt) + int64(g.iters+t))
 }
 
-// DataIDBound implements runtime.DataBounder, letting the engine index
-// host availability densely.
+// DataIDBound implements runtime.Graph: the vector ids above sit past
+// every tile id, and the engine sizes its dense data tables from this.
 func (g *graph) DataIDBound() int64 {
 	return g.vecBase() + int64((5*g.iters+2)*g.nt) + int64(2*g.iters)
 }

@@ -34,7 +34,7 @@ func sameBits(a, b []uint64) bool {
 
 // TestChaosGoldenNoOp is the golden no-op satellite: a wired-in but silent
 // injector must produce schedule digests bit-identical to no injector at
-// all, across GOMAXPROCS settings and both the PTG and DTD front-ends.
+// all, across GOMAXPROCS settings.
 func TestChaosGoldenNoOp(t *testing.T) {
 	base, _ := buildNumericConfig(t, 6, 1, 2)
 	ref, err := Run(base)
@@ -44,19 +44,15 @@ func TestChaosGoldenNoOp(t *testing.T) {
 	defer gort.GOMAXPROCS(gort.GOMAXPROCS(0))
 	for _, procs := range []int{1, 4} {
 		gort.GOMAXPROCS(procs)
-		for name, runFn := range map[string]func(Config) (*Result, error){
-			"PTG": Run, "DTD": RunDTD,
-		} {
-			cfg, _ := buildNumericConfig(t, 6, 1, 2)
-			cfg.Faults = runtime.FaultPlan{} // wired in, silent
-			res, err := runFn(cfg)
-			if err != nil {
-				t.Fatalf("GOMAXPROCS=%d %s: %v", procs, name, err)
-			}
-			if res.Digest() != ref.Digest() {
-				t.Errorf("GOMAXPROCS=%d %s: silent injector digest %#x != fault-free %#x",
-					procs, name, res.Digest(), ref.Digest())
-			}
+		cfg, _ := buildNumericConfig(t, 6, 1, 2)
+		cfg.Faults = runtime.FaultPlan{} // wired in, silent
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		if res.Digest() != ref.Digest() {
+			t.Errorf("GOMAXPROCS=%d: silent injector digest %#x != fault-free %#x",
+				procs, res.Digest(), ref.Digest())
 		}
 	}
 }
@@ -123,38 +119,6 @@ func TestChaosRecoveryBitIdentical(t *testing.T) {
 	}
 	if got := toBits(chaosB.Matrix.ToDense()); !sameBits(got, want) {
 		t.Error("second chaos run factor differs from fault-free factor")
-	}
-}
-
-// TestChaosRecoveryDTD drives the same mid-run device failure through the
-// DTD front-end: recovery must not depend on the algebraic PTG (or its
-// LineageGraph hook — the engine's own lineage tracking suffices).
-func TestChaosRecoveryDTD(t *testing.T) {
-	clean, chaos := buildNumericConfig(t, 7, 1, 2)
-	ref, err := RunDTD(clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.Err != nil {
-		t.Fatal(ref.Err)
-	}
-	want := toBits(clean.Matrix.ToDense())
-
-	chaos.Faults = runtime.FaultPlan{{Kind: runtime.FaultKill, Device: 1, At: ref.Stats.Makespan * 0.5}}
-	chaos.Audit = true
-	res, err := RunDTD(chaos)
-	if err != nil {
-		t.Fatalf("DTD chaos run failed: %v", err)
-	}
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if res.Stats.DeviceFailures != 1 || res.Stats.Tasks != ref.Stats.Tasks {
-		t.Errorf("failures=%d tasks=%d, want 1 and %d",
-			res.Stats.DeviceFailures, res.Stats.Tasks, ref.Stats.Tasks)
-	}
-	if got := toBits(chaos.Matrix.ToDense()); !sameBits(got, want) {
-		t.Error("DTD recovered factor is not bit-identical to the fault-free factor")
 	}
 }
 

@@ -97,7 +97,7 @@ func (r *Result) Metrics() *obs.Registry {
 
 // WriteChromeTrace renders the run's timeline as Chrome trace-event JSON.
 // nt, when positive, labels kernel spans in the paper's task notation
-// (only meaningful for Run results; pass 0 for RunDTD's insertion ids).
+// (the PTG's POTRF/TRSM/SYRK/GEMM ids); 0 leaves them as raw task ids.
 // Plan-backed results carry no interval traces and return an error.
 func (r *Result) WriteChromeTrace(w io.Writer, nt int) error {
 	if r.engine == nil {
@@ -142,7 +142,7 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // newGraph validates cfg and builds the PTG task graph of one
-// factorization (shared by Run and the plan front-end).
+// factorization (shared by Run and the plan cache).
 func newGraph(cfg Config) (*graph, error) {
 	if cfg.Platform == nil {
 		return nil, fmt.Errorf("cholesky: nil platform")
@@ -203,8 +203,7 @@ func TaskName(nt, id int) string {
 
 // Schedule returns the simulated task timeline of a Trace-enabled run,
 // labeled in the paper's notation — the Fig 3 execution demonstration.
-// Labels are only meaningful for Run (PTG ids); RunDTD results use
-// insertion-order ids and should not be passed here.
+// nt must be the factorization's tile count: labels decode PTG task ids.
 func (r *Result) Schedule(nt int) []ScheduledTask {
 	raw := r.schedule
 	if r.engine != nil {

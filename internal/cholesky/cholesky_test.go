@@ -111,6 +111,38 @@ func buildTestGraph(t *testing.T, nt int, ureq float64, kernelOverride [][]prec.
 	}
 }
 
+// buildNumericConfig assembles two independent copies (each with its own
+// matrix) of one numeric configuration, for tests that compare a pair of
+// runs.
+func buildNumericConfig(t *testing.T, nt int, ranks, devPerRank int) (Config, Config) {
+	t.Helper()
+	ts := 16
+	n := nt * ts
+	rng := stats.NewRNG(21, 0)
+	locs := geo.GenerateLocations(n, 2, rng)
+	kfn := geo.SqExp{Dimension: 2}
+	theta := []float64{1, 0.05}
+	pg, qg := tile.SquarestGrid(ranks)
+	d, err := tile.NewDesc(n, ts, pg, qg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func() Config {
+		mat := tile.NewMatrix(d, false)
+		mat.Fill(func(tl *tile.Tile, r0, c0 int) {
+			geo.CovTile(locs, r0, c0, tl.M, tl.N, kfn, theta, 1e-8, tl.Data, tl.N)
+		})
+		maps := precmap.New(precmap.FromMatrix(mat, 1e-6, prec.CholeskySet), 1e-6)
+		mat.SetStorage(func(i, j int) prec.Precision { return maps.Storage[i][j] })
+		plat, err := runtime.NewPlatform(hw.SummitNode, ranks, devPerRank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Config{Desc: d, Maps: maps, Platform: plat, Matrix: mat, Strategy: Auto}
+	}
+	return mk(), mk()
+}
+
 // runConfig builds and runs a full numeric factorization, returning the
 // matrix, the dense FP64 reference factor, and the result.
 func runNumeric(t *testing.T, nt int, ureq float64, kernel [][]prec.Precision, strat Strategy, ranks, devPerRank int) (*tile.Matrix, []float64, *Result) {
@@ -506,16 +538,5 @@ func TestPTGValidates(t *testing.T) {
 		if err := runtime.Validate(g); err != nil {
 			t.Errorf("nt=%d: %v", nt, err)
 		}
-	}
-}
-
-func TestDTDValidates(t *testing.T) {
-	d, _ := tile.NewDesc(6*16, 16, 1, 1)
-	maps := precmap.New(precmap.Uniform(6, prec.FP16x32), 1e-4)
-	plat, _ := runtime.NewPlatform(hw.SummitNode, 1, 2)
-	// Build the DTD graph through RunDTD's path but validate before running:
-	// reuse RunDTD directly (it validates implicitly by completing).
-	if _, err := RunDTD(Config{Desc: d, Maps: maps, Platform: plat}); err != nil {
-		t.Fatal(err)
 	}
 }

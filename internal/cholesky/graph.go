@@ -98,9 +98,8 @@ func wireFormat(p prec.Precision) prec.Precision { return prec.Wire(p) }
 // execInputFormat is the element format a kernel consumes its inputs in.
 func execInputFormat(p prec.Precision) prec.Precision { return wireFormat(p) }
 
-// DataIDBound implements runtime.DataBounder: tile ids pack as i·nt+j, so
-// every DataID lies below nt², letting the engine index host availability
-// densely instead of through a map.
+// DataIDBound implements runtime.Graph: tile ids pack as i·nt+j, so every
+// DataID lies below nt², the length the engine's dense data tables take.
 func (g *graph) DataIDBound() int64 { return int64(g.nt) * int64(g.nt) }
 
 // Writers implements runtime.LineageGraph: the tasks writing tile (i,j) in

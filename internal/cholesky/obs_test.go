@@ -43,26 +43,6 @@ func TestDigestEqualAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestDigestEqualAcrossFrontEnds: the PTG and DTD front-ends number tasks
-// differently but must produce the same schedule, and therefore the same
-// digest (which deliberately excludes task ids).
-func TestDigestEqualAcrossFrontEnds(t *testing.T) {
-	cfgPTG, cfgDTD := buildNumericConfig(t, 6, 2, 2)
-	cfgPTG.Audit = true
-	cfgDTD.Audit = true
-	ptg, err := Run(cfgPTG)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dtd, err := RunDTD(cfgDTD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ptg.Digest() != dtd.Digest() {
-		t.Errorf("PTG digest %016x != DTD digest %016x", ptg.Digest(), dtd.Digest())
-	}
-}
-
 // TestAuditedMultiRankRun exercises the invariant auditor on a scenario
 // with STC conversions, D2H publishes and network broadcasts. Audit failures
 // surface as Run errors.

@@ -234,6 +234,10 @@ type FitResult struct {
 // The substitute simplex methods need the log reparameterization (all
 // parameters are positive scales) to do the same; with it, the lower-bound
 // start recovers the optimum in a few hundred evaluations.
+//
+// Fit fails when no evaluated θ gives a finite −ℓ: a fit whose every
+// evaluation was rejected has no estimate, and MonteCarlo counts it as a
+// failed replica.
 func Fit(p *Problem, start, lo, hi []float64, opt optimize.Options) (*FitResult, error) {
 	if err := p.defaults(); err != nil {
 		return nil, err
@@ -281,6 +285,11 @@ func Fit(p *Problem, start, lo, hi []float64, opt optimize.Options) (*FitResult,
 	}
 	if evalErr != nil {
 		return nil, evalErr
+	}
+	if math.IsInf(res.F, 0) || math.IsNaN(res.F) {
+		// No evaluated θ had a finite likelihood (every Σ(θ) was rejected as
+		// not SPD, or Z itself is not finite): there is no estimate to report.
+		return nil, fmt.Errorf("mle: no finite likelihood in %d evaluations (%d rejected)", rs.Evaluations, rs.Rejected)
 	}
 	theta := make([]float64, np)
 	for i, v := range res.X {

@@ -122,6 +122,19 @@ func TestFitRecoversParameters(t *testing.T) {
 	}
 }
 
+// TestFitFailsWithoutFiniteLikelihood: a NaN in Z makes −ℓ(θ) = +Inf at
+// every θ, so no evaluation is usable; Fit must report that as an error
+// rather than return its start point as an estimate.
+func TestFitFailsWithoutFiniteLikelihood(t *testing.T) {
+	p, _ := testProblem(t, 64, 0)
+	p.Z[3] = math.NaN()
+	start, lo, hi := DefaultBounds(2)
+	fit, err := Fit(p, start, lo, hi, optimize.Options{Tol: 1e-9, MaxEvals: 20})
+	if err == nil {
+		t.Fatalf("fit with no finite likelihood succeeded: θ=%v, −ℓ=%g", fit.Theta, fit.NegLogLik)
+	}
+}
+
 func TestFitMPMatchesExactFit(t *testing.T) {
 	// The paper's core claim: u_req=1e-9 estimation ≈ exact estimation.
 	pExact, _ := testProblem(t, 144, 0)

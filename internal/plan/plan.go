@@ -47,7 +47,7 @@ const opComplete = uint32(1) << 31
 // property Cache's concurrency contract leans on.
 type Plan struct {
 	// Sig is the caller-supplied shape signature (platform, tiling,
-	// strategy, policy, topology, front-end — everything except the
+	// strategy, policy, topology, solver backend — everything except the
 	// precision map and the numeric data).
 	Sig uint64
 	// PrecSig is the precision-map signature the plan was compiled under
@@ -90,7 +90,7 @@ func (r recorder) RecordComplete(id int) { r.p.ops = append(r.p.ops, uint32(id)|
 // all — and returns the reusable plan. sig and precSig identify what the
 // plan is valid for (see Plan.Sig/PrecSig). Compilation must be fault-free:
 // fault plans perturb the schedule nondeterministically with respect to the
-// graph alone, so front-ends bypass the cache for armed runs.
+// graph alone, so callers (cholesky, cg) bypass the cache for armed runs.
 func Compile(plat *runtime.Platform, g runtime.Graph, sig, precSig uint64, opts Options) (*Plan, error) {
 	n := g.NumTasks()
 	p := &Plan{Sig: sig, PrecSig: precSig, NumTasks: n, ops: make([]uint32, 0, 2*n)}
@@ -121,7 +121,7 @@ func Compile(plat *runtime.Platform, g runtime.Graph, sig, precSig uint64, opts 
 // schedule: the recorded stream is walked once, starting each task's body
 // at its commit and joining it at its completion, and the compiled Stats
 // are returned untouched. The graph must have the same task count as the
-// compiled one and — a front-end responsibility — the same shape and
+// compiled one and — the caller's responsibility — the same shape and
 // precision signatures; only the numeric tile contents may differ.
 func (p *Plan) Replay(g runtime.Graph) (runtime.Stats, error) {
 	if n := g.NumTasks(); n != p.NumTasks {

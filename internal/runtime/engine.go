@@ -62,11 +62,8 @@ type Engine struct {
 	placing bool
 	refsBuf []sched.DataRef
 
-	// Host-availability index: when the graph implements DataBounder the
-	// dense per-(rank,data) table is used (one flat slice, -1 = absent);
-	// otherwise the map fallback. The dense form removes a map lookup per
-	// staged input — the hottest read on the phantom scale path.
-	hostAvail    map[hostKey]float64
+	// Host-availability index: a dense per-(rank,data) table sized from
+	// the graph's DataIDBound (one flat slice, -1 = absent; hostindex.go).
 	hostDense    []float64
 	hostDenseBuf []float64 // retained across runs to avoid regrowth
 	hostBound    int
@@ -155,32 +152,20 @@ func (e *Engine) Run() (Stats, error) {
 	if e.Audit {
 		e.Trace = true // the energy-conservation check needs the intervals
 	}
-	// Graphs that forbid mutation during execution latch that flag before
-	// the first Spec call.
-	if s, ok := e.g.(interface{ Seal() }); ok {
-		s.Seal()
+	bound := e.g.DataIDBound()
+	if err := checkDataBound(bound, e.plat); err != nil {
+		return Stats{}, err
 	}
 	n := e.g.NumTasks()
 	e.resolveSched()
-	e.hostAvail, e.hostDense, e.hostBound = nil, nil, 0
-	if b, ok := e.g.(DataBounder); ok {
-		// Cap the dense tables' footprint; graphs with huge sparse id
-		// spaces fall back to the maps.
-		if bound := b.DataIDBound(); bound >= 0 &&
-			bound*int64(e.plat.Ranks) <= 1<<28 && bound*int64(e.plat.NumDevices()) <= 1<<28 {
-			e.hostBound = int(bound)
-			need := e.hostBound * e.plat.Ranks
-			if cap(e.hostDenseBuf) < need {
-				e.hostDenseBuf = make([]float64, need)
-			}
-			e.hostDense = e.hostDenseBuf[:need]
-			for i := range e.hostDense {
-				e.hostDense[i] = hostAbsent
-			}
-		}
+	e.hostBound = int(bound)
+	need := e.hostBound * e.plat.Ranks
+	if cap(e.hostDenseBuf) < need {
+		e.hostDenseBuf = make([]float64, need)
 	}
-	if e.hostDense == nil {
-		e.hostAvail = make(map[hostKey]float64)
+	e.hostDense = e.hostDenseBuf[:need]
+	for i := range e.hostDense {
+		e.hostDense[i] = hostAbsent
 	}
 	e.devices = make([]*device, e.plat.NumDevices())
 	for i := range e.devices {
@@ -220,8 +205,15 @@ func (e *Engine) Run() (Stats, error) {
 	}()
 
 	e.g.InitialData(func(d DataID, rank int) {
+		if d < 0 || int64(d) >= bound || rank < 0 || rank >= e.plat.Ranks {
+			e.fail(&GraphError{Task: -1, Msg: fmt.Sprintf("initial datum %d at rank %d outside [0,%d) x [0,%d)", d, rank, bound, e.plat.Ranks)})
+			return
+		}
 		e.setHostAvail(rank, d, 0)
 	})
+	if e.fatalErr != nil {
+		return Stats{}, e.fatalErr
+	}
 
 	for id := 0; id < n; id++ {
 		e.pending[id] = int32(e.g.NumPredecessors(id))
@@ -270,8 +262,8 @@ func (e *Engine) enqueueReady(id int) int {
 	spec := e.takeSpec()
 	e.g.Spec(id, spec)
 	spec.ID = id
-	if spec.Device < 0 || spec.Device >= len(e.devices) {
-		e.fail(&GraphError{Task: id, Msg: fmt.Sprintf("assigned to invalid device %d", spec.Device)}) //geompc:nolint hotalloc cold malformed-graph path, run ends here
+	if spec.Device < 0 || spec.Device >= len(e.devices) || !e.dataInBound(spec) {
+		e.fail(e.specError(spec)) //geompc:nolint hotalloc cold malformed-graph path, run ends here
 		e.specFree = append(e.specFree, spec)
 		return 0
 	}

@@ -16,6 +16,9 @@ type testGraph struct {
 	preds   [][]int
 	succs   [][]int
 	initial map[DataID]int // data -> rank
+	// bound, when nonzero, overrides DataIDBound; zero means one past the
+	// largest DataID the graph names.
+	bound int64
 }
 
 func (g *testGraph) NumTasks() int { return len(g.specs) }
@@ -31,6 +34,23 @@ func (g *testGraph) InitialData(visit func(d DataID, rank int)) {
 	for d, r := range g.initial {
 		visit(d, r)
 	}
+}
+
+func (g *testGraph) DataIDBound() int64 {
+	if g.bound != 0 {
+		return g.bound
+	}
+	var top DataID = -1
+	for d := range g.initial {
+		top = max(top, d)
+	}
+	for _, s := range g.specs {
+		for _, in := range s.Inputs {
+			top = max(top, in.Data)
+		}
+		top = max(top, s.Output.Data)
+	}
+	return int64(top) + 1
 }
 
 func newTestGraph(n int) *testGraph {
@@ -436,6 +456,78 @@ func TestInvalidDeviceIsGraphError(t *testing.T) {
 	}
 }
 
+// TestDataBoundOverCapIsGraphError: a bound whose dense data tables would
+// exceed the slot cap is refused with a *GraphError before Run allocates
+// them (an unchecked 1<<62 bound would panic in make).
+func TestDataBoundOverCapIsGraphError(t *testing.T) {
+	for _, bound := range []int64{-1, maxIndexSlots + 1, 1 << 62} {
+		g := newTestGraph(1)
+		g.specs[0] = TaskSpec{Kind: hw.KindGemm, Device: 0, Prec: prec.FP64, Flops: 1,
+			Output: OutputSpec{Data: -1}}
+		g.bound = bound
+		_, err := New(onePlat(t), g).Run()
+		var ge *GraphError
+		if !errors.As(err, &ge) || ge.Task != -1 {
+			t.Errorf("bound %d: err = %v, want a graph-wide *GraphError", bound, err)
+		}
+	}
+	// The cap holds per segment count: max(ranks, devices) segments of
+	// bound slots each.
+	p, err := NewPlatform(hw.SummitNode, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkDataBound(maxIndexSlots/6, p); err != nil {
+		t.Errorf("bound at the cap refused: %v", err)
+	}
+	if err := checkDataBound(maxIndexSlots/6+1, p); err == nil {
+		t.Error("bound one past the cap accepted")
+	}
+}
+
+// TestInitialDataOutOfBoundIsGraphError: an initial datum outside the
+// declared bound (or at a rank the platform lacks) would alias another
+// rank's host-index slot; Run refuses it instead.
+func TestInitialDataOutOfBoundIsGraphError(t *testing.T) {
+	for _, c := range []struct {
+		d    DataID
+		rank int
+	}{{4, 0}, {-1, 0}, {0, 1}} {
+		g := newTestGraph(1)
+		g.specs[0] = TaskSpec{Kind: hw.KindGemm, Device: 0, Prec: prec.FP64, Flops: 1,
+			Output: OutputSpec{Data: -1}}
+		g.bound = 4
+		g.initial[c.d] = c.rank
+		_, err := New(onePlat(t), g).Run()
+		var ge *GraphError
+		if !errors.As(err, &ge) {
+			t.Errorf("datum %d at rank %d: err = %v, want a *GraphError", c.d, c.rank, err)
+		}
+	}
+}
+
+// TestTaskDataOutOfBoundIsGraphError: a task naming a datum outside the
+// declared bound has no slot in the dense tables; Run refuses it instead of
+// indexing past them.
+func TestTaskDataOutOfBoundIsGraphError(t *testing.T) {
+	for name, mutate := range map[string]func(s *TaskSpec){
+		"input":          func(s *TaskSpec) { s.Inputs = []InputSpec{{Data: 4, WireBytes: 1}} },
+		"negative input": func(s *TaskSpec) { s.Inputs = []InputSpec{{Data: -1, WireBytes: 1}} },
+		"output":         func(s *TaskSpec) { s.Output.Data = 4 },
+	} {
+		g := newTestGraph(1)
+		g.specs[0] = TaskSpec{Kind: hw.KindGemm, Device: 0, Prec: prec.FP64, Flops: 1,
+			Output: OutputSpec{Data: -1}}
+		g.bound = 4
+		mutate(&g.specs[0])
+		_, err := New(onePlat(t), g).Run()
+		var ge *GraphError
+		if !errors.As(err, &ge) || ge.Task != 0 {
+			t.Errorf("%s: err = %v, want a *GraphError for task 0", name, err)
+		}
+	}
+}
+
 func TestTraceIntervals(t *testing.T) {
 	g := newTestGraph(2)
 	for i := 0; i < 2; i++ {
@@ -527,6 +619,32 @@ func TestValidateDetectsSelfLoopAndRange(t *testing.T) {
 	g.succs[0] = []int{5}
 	if err := Validate(g); err == nil {
 		t.Error("out-of-range successor not detected")
+	}
+}
+
+func TestValidateDetectsDataOutOfRange(t *testing.T) {
+	build := func() *testGraph {
+		g := newTestGraph(1)
+		g.specs[0] = TaskSpec{Kind: hw.KindGemm, Device: 0, Prec: prec.FP64, Flops: 1,
+			Inputs: []InputSpec{{Data: 0}}, Output: OutputSpec{Data: -1}}
+		g.initial[0] = 0
+		g.bound = 4
+		return g
+	}
+	if err := Validate(build()); err != nil {
+		t.Fatalf("in-range graph rejected: %v", err)
+	}
+	for name, mutate := range map[string]func(g *testGraph){
+		"initial":        func(g *testGraph) { g.initial[4] = 0 },
+		"negative input": func(g *testGraph) { g.specs[0].Inputs[0].Data = -1 },
+		"input":          func(g *testGraph) { g.specs[0].Inputs[0].Data = 4 },
+		"output":         func(g *testGraph) { g.specs[0].Output.Data = 4 },
+	} {
+		g := build()
+		mutate(g)
+		if err := Validate(g); err == nil {
+			t.Errorf("%s datum outside [0,4) not detected", name)
+		}
 	}
 }
 

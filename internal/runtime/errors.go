@@ -3,16 +3,20 @@ package runtime
 import "fmt"
 
 // GraphError reports a malformed task graph: a task assigned to a device
-// that doesn't exist, an input with no host copy at the task's rank, or
-// broken in-degree accounting. The engine used to panic on these; now they
-// abort the run and surface from Run, so a bad front-end is a test failure
-// rather than a process crash.
+// that doesn't exist, an input with no host copy at the task's rank, broken
+// in-degree accounting, or a data space (DataIDBound, InitialData) the
+// dense data tables cannot hold. The engine used to panic on these; now
+// they abort the run and surface from Run, so a bad graph is a test
+// failure rather than a process crash.
 type GraphError struct {
-	Task int    // the offending task id
+	Task int    // the offending task id, or -1 for graph-wide faults
 	Msg  string // what is malformed about it
 }
 
 func (g *GraphError) Error() string {
+	if g.Task < 0 {
+		return "runtime: malformed graph: " + g.Msg
+	}
 	return fmt.Sprintf("runtime: malformed graph: task %d %s", g.Task, g.Msg)
 }
 

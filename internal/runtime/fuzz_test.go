@@ -7,11 +7,11 @@ import (
 	"geompc/internal/prec"
 )
 
-// FuzzValidate drives the DTD front-end with arbitrary insertion sequences
-// and checks that (a) the inferred edge structure always passes Validate —
-// in-degrees match successor lists and no cycle can arise from sequential
-// insertion — and (b) the engine executes the resulting graph to completion
-// under the invariant auditor without panicking.
+// FuzzValidate builds random DAGs from arbitrary byte strings and checks
+// that (a) the decoded graph passes Validate — in-degrees match successor
+// lists, every DataID lies below the bound and forward edges can never
+// close a cycle — and (b) the engine executes it to completion under the
+// invariant auditor without panicking.
 func FuzzValidate(f *testing.F) {
 	f.Add([]byte{0x00})
 	f.Add([]byte{0x12, 0x34, 0x56})
@@ -20,42 +20,41 @@ func FuzzValidate(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const pool = 8 // distinct tiles
-		g := NewDTDGraph()
+		// Each byte is one task. As an edge mask, bit k makes the task
+		// depend on the task k+1 places before it (forward edges only). As
+		// access flags, the low three bits pick the tile it reads, the next
+		// three the tile it writes, bit 6 adds a second read and bit 7 a
+		// receiver-side conversion. Capped to keep runs small.
+		n := min(len(data), 64)
+		g := newTestGraph(n)
 		for d := 0; d < pool; d++ {
-			g.Data(DataID(d), 0)
-		}
-		// Each byte inserts one task: the low three bits pick the tile it
-		// reads, the next three the tile it writes, bit 6 adds a second read,
-		// bit 7 adds a receiver-side conversion. Capped to keep runs small.
-		n := len(data)
-		if n > 64 {
-			n = 64
+			g.initial[DataID(d)] = 0
 		}
 		for i := 0; i < n; i++ {
 			b := data[i]
+			for k := 0; k < 8 && k < i; k++ {
+				if b&(1<<k) != 0 {
+					g.edge(i-1-k, i)
+				}
+			}
 			read := DataID(b & 7)
-			write := DataID((b >> 3) & 7)
-			accesses := []Access{{Data: read, Mode: Read, WireBytes: 4096, Prec: prec.FP32}}
-			if b&0x40 != 0 {
-				accesses = append(accesses, Access{
-					Data: DataID((int(read) + 1) % pool), Mode: Read,
-					WireBytes: 2048, Prec: prec.FP16,
-				})
-			}
+			in := []InputSpec{{Data: read, WireBytes: 4096, WirePrec: prec.FP32}}
 			if b&0x80 != 0 {
-				accesses[0].ConvertElems = 512
-				accesses[0].ConvFrom, accesses[0].ConvTo = prec.FP16, prec.FP32
+				in[0].ConvertElems = 512
+				in[0].ConvFrom, in[0].ConvTo = prec.FP16, prec.FP32
 			}
-			accesses = append(accesses, Access{Data: write, Mode: Write, WireBytes: 8192, Prec: prec.FP64})
-			if _, err := g.Insert(TaskSpec{
+			if b&0x40 != 0 {
+				in = append(in, InputSpec{Data: (read + 1) % pool, WireBytes: 2048, WirePrec: prec.FP16})
+			}
+			g.specs[i] = TaskSpec{
 				Kind: hw.KindGemm, Device: 0, Prec: prec.FP64, Flops: 1e6,
-			}, accesses...); err != nil {
-				t.Fatalf("insert %d: %v", i, err)
+				Inputs: in,
+				Output: OutputSpec{Data: DataID((b >> 3) & 7), Bytes: 8192, Prec: prec.FP64},
 			}
 		}
 
 		if err := Validate(g); err != nil {
-			t.Fatalf("inferred graph fails validation: %v", err)
+			t.Fatalf("decoded graph fails validation: %v", err)
 		}
 		// In-degree / successor round trip, beyond what Validate reports.
 		var buf []int
@@ -67,7 +66,7 @@ func FuzzValidate(f *testing.F) {
 				}
 			}
 		}
-		if g.NumTasks() == 0 {
+		if n == 0 {
 			return
 		}
 		plat, err := NewPlatform(hw.SummitNode, 1, 1)
@@ -80,8 +79,8 @@ func FuzzValidate(f *testing.F) {
 		if err != nil {
 			t.Fatalf("audited run failed: %v", err)
 		}
-		if st.Tasks != g.NumTasks() {
-			t.Fatalf("executed %d of %d tasks", st.Tasks, g.NumTasks())
+		if st.Tasks != n {
+			t.Fatalf("executed %d of %d tasks", st.Tasks, n)
 		}
 	})
 }

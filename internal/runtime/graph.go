@@ -105,4 +105,10 @@ type Graph interface {
 	// InitialData enumerates every DataID resident in host memory before
 	// execution starts, with its owning rank (matrix generation phase).
 	InitialData(visit func(d DataID, rank int))
+	// DataIDBound bounds the graph's data space: every DataID it names
+	// lies in [0, DataIDBound()). The engine sizes its dense host-
+	// availability and residency tables from it (one bound-long segment
+	// per rank and per device) and rejects, with a *GraphError, a bound
+	// whose tables would exceed 1<<28 slots.
+	DataIDBound() int64
 }

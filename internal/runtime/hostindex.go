@@ -1,43 +1,60 @@
 package runtime
 
+import "fmt"
+
 // Host-availability index: the virtual time each (rank, datum) pair's host
-// copy becomes readable. Graphs that bound their DataID space get a dense
-// flat table; everything else falls back to a map.
+// copy becomes readable, held in one flat table with a Graph.DataIDBound()-
+// long segment per rank, addressed as rank*hostBound + data.
 
-type hostKey struct {
-	rank int
-	data DataID
-}
-
-// hostAbsent marks a (rank, data) slot of the dense host index with no host
-// copy; availability times are always ≥ 0.
+// hostAbsent marks a (rank, data) slot of the host index with no host copy;
+// availability times are always ≥ 0.
 const hostAbsent = -1.0
 
-// The dense index holds one hostBound-long segment per rank, addressed as
-// rank*hostBound + data.
+// maxIndexSlots caps each dense data table (host index slots across ranks,
+// residency slots across devices). A graph whose bound exceeds it is
+// rejected at Run before anything is allocated.
+const maxIndexSlots = 1 << 28
+
+// checkDataBound refuses, before anything is allocated, a DataIDBound whose
+// dense tables — one bound-long segment per rank in the host index, per
+// device in the residency index — would exceed maxIndexSlots.
+func checkDataBound(bound int64, p *Platform) error {
+	if segs := int64(max(p.Ranks, p.NumDevices())); bound < 0 || bound > maxIndexSlots/segs {
+		return &GraphError{Task: -1, Msg: fmt.Sprintf(
+			"DataIDBound %d: %d data-table segments of that length exceed the %d-slot cap", bound, segs, maxIndexSlots)}
+	}
+	return nil
+}
+
+// dataInBound reports whether every datum spec reads or writes has a slot
+// in the dense tables (a negative output id means "no output").
 //
 //geompc:hot
-func (e *Engine) setHostAvail(rank int, d DataID, at float64) {
-	if e.hostDense != nil {
-		e.hostDense[rank*e.hostBound+int(d)] = at
-		return
+func (e *Engine) dataInBound(spec *TaskSpec) bool {
+	for i := range spec.Inputs {
+		if d := spec.Inputs[i].Data; d < 0 || int(d) >= e.hostBound {
+			return false
+		}
 	}
-	e.hostAvail[hostKey{rank, d}] = at
+	return int(spec.Output.Data) < e.hostBound
+}
+
+// specError describes why enqueueReady refused spec: an invalid device or
+// a datum outside the graph's DataIDBound.
+func (e *Engine) specError(spec *TaskSpec) error {
+	if spec.Device < 0 || spec.Device >= len(e.devices) {
+		return &GraphError{Task: spec.ID, Msg: fmt.Sprintf("assigned to invalid device %d", spec.Device)}
+	}
+	return &GraphError{Task: spec.ID, Msg: fmt.Sprintf("touches a datum outside [0,%d)", e.hostBound)}
+}
+
+//geompc:hot
+func (e *Engine) setHostAvail(rank int, d DataID, at float64) {
+	e.hostDense[rank*e.hostBound+int(d)] = at
 }
 
 //geompc:hot
 func (e *Engine) lookupHostAvail(rank int, d DataID) (float64, bool) {
-	if e.hostDense != nil {
-		v := e.hostDense[rank*e.hostBound+int(d)]
-		return v, v != hostAbsent
-	}
-	v, ok := e.hostAvail[hostKey{rank, d}]
-	return v, ok
-}
-
-// DataBounder is an optional Graph capability: a graph whose DataIDs all lie
-// in [0, DataIDBound()) lets the engine replace the host-availability map
-// with a dense per-rank table.
-type DataBounder interface {
-	DataIDBound() int64
+	v := e.hostDense[rank*e.hostBound+int(d)]
+	return v, v != hostAbsent
 }

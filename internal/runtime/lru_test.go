@@ -10,7 +10,7 @@ import (
 func newLRUDevice(capacity int64) *device {
 	spec := *hw.V100
 	spec.MemBytes = capacity
-	return newDevice(0, 0, &spec, false, 0, &heapOrder{fifo: true})
+	return newDevice(0, 0, &spec, false, 32, &heapOrder{fifo: true})
 }
 
 func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
@@ -21,11 +21,11 @@ func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
 	d.insert(3, 10, prec.FP64, true, 0, &sink)
 	d.touch(1) // 2 becomes LRU
 	d.insert(4, 10, prec.FP64, true, 0, &sink)
-	if d.resident[2] != nil {
+	if d.entry(2) != nil {
 		t.Error("LRU entry 2 not evicted")
 	}
 	for _, id := range []DataID{1, 3, 4} {
-		if d.resident[id] == nil {
+		if d.entry(id) == nil {
 			t.Errorf("entry %d wrongly evicted", id)
 		}
 	}
@@ -58,15 +58,15 @@ func TestLRUPinnedEntriesSurvive(t *testing.T) {
 	d.pin(1)
 	d.insert(2, 10, prec.FP64, true, 0, &sink)
 	d.insert(3, 10, prec.FP64, true, 0, &sink) // must evict 2, not pinned 1
-	if d.resident[1] == nil {
+	if d.entry(1) == nil {
 		t.Fatal("pinned entry evicted")
 	}
-	if d.resident[2] != nil {
+	if d.entry(2) != nil {
 		t.Error("unpinned LRU entry 2 survived over-capacity")
 	}
 	d.unpin(1)
 	d.insert(4, 10, prec.FP64, true, 0, &sink)
-	if d.resident[1] != nil {
+	if d.entry(1) != nil {
 		t.Error("entry 1 not evictable after unpin")
 	}
 }
@@ -79,7 +79,7 @@ func TestLRUAllPinnedOvercommits(t *testing.T) {
 	d.insert(2, 10, prec.FP64, true, 0, &sink)
 	d.pin(2)
 	// Over capacity with everything pinned: no eviction, no panic.
-	if d.resident[1] == nil || d.resident[2] == nil {
+	if d.entry(1) == nil || d.entry(2) == nil {
 		t.Error("pinned entries evicted")
 	}
 	if d.used != 20 {
@@ -95,7 +95,7 @@ func TestLRUReinsertUpdatesSize(t *testing.T) {
 	if d.used != 25 {
 		t.Errorf("used = %d, want 25", d.used)
 	}
-	e := d.resident[1]
+	e := d.entry(1)
 	if !e.hostCopy {
 		t.Error("host copy flag not upgraded")
 	}
@@ -107,7 +107,7 @@ func TestLRUReinsertUpdatesSize(t *testing.T) {
 
 func TestLRUListIntegrity(t *testing.T) {
 	// Stress the intrusive list with a mixed op sequence, then verify the
-	// list matches the map exactly.
+	// list matches the residency index exactly.
 	d := newLRUDevice(1 << 40)
 	var sink evictSink
 	for i := 0; i < 100; i++ {
@@ -126,12 +126,12 @@ func TestLRUListIntegrity(t *testing.T) {
 			t.Fatal("broken back-link")
 		}
 	}
-	if count != len(d.resident) {
-		t.Fatalf("list has %d entries, map has %d", count, len(d.resident))
+	if count != d.nResident {
+		t.Fatalf("list has %d entries, index has %d", count, d.nResident)
 	}
-	for id := range d.resident {
-		if !seen[id] {
-			t.Fatalf("map entry %d missing from list", id)
+	for id, e := range d.residentArr {
+		if e != nil && !seen[DataID(id)] {
+			t.Fatalf("index entry %d missing from list", id)
 		}
 	}
 }

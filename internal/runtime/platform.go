@@ -54,8 +54,8 @@ type device struct {
 
 	// Host-link directions (and the intra-node peer lane) as first-class
 	// comm.Links: each carries its own free time, cumulative busy time and
-	// traced intervals. peer is constructed for symmetry — the Cholesky
-	// front-ends route all tile exchange through host staging, so it stays
+	// traced intervals. peer is constructed for symmetry — the Cholesky and
+	// CG graphs route all tile exchange through host staging, so it stays
 	// idle until a D2D path exists.
 	h2d, d2h, peer *comm.Link
 
@@ -63,10 +63,9 @@ type device struct {
 	maxReady  int  // deepest the ready queue ever got (queue-depth metric)
 	dirty     bool // queued for a pipeline refill in the current completion
 
-	// Residency index: residentArr (dense, bound from DataBounder) or
-	// resident (map fallback). The dense form turns every touch/pin/unpin
-	// into an array index — the phantom scale path does several per task.
-	resident    map[DataID]*residentEntry
+	// Residency index: one slot per DataID below the graph's DataIDBound,
+	// so every touch/pin/unpin is an array index — the phantom scale path
+	// does several per task.
 	residentArr []*residentEntry
 	nResident   int
 	// lruHead/lruTail form an intrusive recency list: head = most recently
@@ -162,37 +161,21 @@ func newDevice(id, rank int, spec *hw.GPUSpec, trace bool, dataBound int, ord *h
 		h2d:    comm.NewLink(fmt.Sprintf("dev%d/h2d", id), spec.H2DLink(), trace),
 		d2h:    comm.NewLink(fmt.Sprintf("dev%d/d2h", id), spec.D2HLink(), trace),
 		peer:   comm.NewLink(fmt.Sprintf("dev%d/peer", id), spec.PeerLink(), trace),
-	}
-	if dataBound > 0 {
-		d.residentArr = make([]*residentEntry, dataBound)
-	} else {
-		d.resident = make(map[DataID]*residentEntry)
+
+		residentArr: make([]*residentEntry, dataBound),
 	}
 	return d
 }
 
-func (d *device) entry(id DataID) *residentEntry {
-	if d.residentArr != nil {
-		return d.residentArr[id]
-	}
-	return d.resident[id]
-}
+func (d *device) entry(id DataID) *residentEntry { return d.residentArr[id] }
 
 func (d *device) setEntry(id DataID, e *residentEntry) {
-	if d.residentArr != nil {
-		d.residentArr[id] = e
-	} else {
-		d.resident[id] = e
-	}
+	d.residentArr[id] = e
 	d.nResident++
 }
 
 func (d *device) delEntry(id DataID) {
-	if d.residentArr != nil {
-		d.residentArr[id] = nil
-	} else {
-		delete(d.resident, id)
-	}
+	d.residentArr[id] = nil
 	d.nResident--
 }
 

@@ -105,8 +105,8 @@ func failoverKey(spec *TaskSpec) int64 {
 // failoverFor returns the surviving same-rank device that inherits work
 // keyed by key from the failed device orig, or -1 when the whole rank is
 // dead (host copies live per rank, so work cannot migrate across ranks).
-// The pick itself is the policy's: every front-end and the recovery path
-// route through the same sched.Policy.Failover.
+// The pick itself is the policy's: whatever the graph, recovery routes
+// through sched.Policy.Failover.
 func (e *Engine) failoverFor(orig *device, key int64) int {
 	base := orig.rank * e.plat.DevPerRank
 	e.aliveBuf = e.aliveBuf[:0]
@@ -255,7 +255,7 @@ func (e *Engine) killDevice(f *FaultEvent) {
 
 // replayable validates a lineage replay before committing it: every input
 // must be reachable from the rank's host memory (true by construction for
-// graphs whose cross-tile producers publish, like the Cholesky PTG/DTD),
+// graphs whose cross-tile producers publish, like the Cholesky PTG),
 // and — when the graph declares its writers (LineageGraph) under audit —
 // the replayed task must be one of the datum's declared writers.
 func (e *Engine) replayable(td *device, spec *TaskSpec) bool {

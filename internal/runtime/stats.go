@@ -43,8 +43,8 @@ type Stats struct {
 	// ScheduleDigest is an FNV-1a hash over every committed task's
 	// (kind, device, start, end, bytes) record. Equal digests prove two
 	// runs produced bit-identical schedules — across GOMAXPROCS settings
-	// and across the PTG and DTD front-ends (task ids are not hashed
-	// because the front-ends number tasks differently).
+	// and across plan replays. Task ids are not hashed: the digest
+	// describes the schedule, not how a graph numbers its tasks.
 	ScheduleDigest uint64
 	// Fault/recovery accounting — non-zero only when a FaultInjector armed
 	// the run (see Engine.Inject).

@@ -3,10 +3,11 @@
 // may execute on a different same-rank device than its owner-computes home,
 // and which survivor inherits work when a device fails.
 //
-// Policies are consulted identically by the PTG and DTD front-ends and by
-// the fault-recovery failover path, and they are strictly about *placement
-// and order in virtual time*: numeric task bodies run exactly once whatever
-// the policy, so every policy produces the bit-identical factor. FIFO is
+// Policies are consulted identically for every task graph (the Cholesky
+// PTG, the CG chunks) and by the fault-recovery failover path, and they are
+// strictly about *placement and order in virtual time*: numeric task bodies
+// run exactly once whatever the policy, so every policy produces the
+// bit-identical factor. FIFO is
 // the engine's historical behavior — under it (and the default broadcast
 // topology) schedules are bit-for-bit the same as before this package
 // existed, which the pinned golden digests prove.
